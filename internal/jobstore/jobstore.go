@@ -22,10 +22,12 @@
 package jobstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -259,20 +261,25 @@ func readNDJSON(path string, fn func(line []byte) error) error {
 	return nil
 }
 
-// appendLine durably appends one JSON document plus newline: the write
-// is flushed with fsync before returning, so an acknowledged event
-// survives a crash.
-func appendLine(path string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
+// appendLines durably appends one JSON document plus newline per
+// record, in one write flushed with fsync before returning, so an
+// acknowledged record survives a crash. A crash mid-write leaves a torn
+// tail that readNDJSON drops.
+func appendLines[T any](path string, recs ...T) error {
+	var buf []byte
+	for _, r := range recs {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, raw...), '\n')
 	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if _, err := f.Write(append(raw, '\n')); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		return err
 	}
 	return f.Sync()
@@ -292,7 +299,7 @@ func (s *Store) Create(spec json.RawMessage) (Job, error) {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	ev := Event{Seq: 1, Time: time.Now().UTC(), To: Queued, Reason: "submitted"}
-	if err := appendLine(filepath.Join(dir, "log.ndjson"), ev); err != nil {
+	if err := appendLines(filepath.Join(dir, "log.ndjson"), ev); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	s.nextID++
@@ -315,7 +322,7 @@ func (s *Store) Transition(id string, to State, reason string) (Job, error) {
 		return Job{}, fmt.Errorf("jobstore: illegal transition %q→%q for %s", j.state, to, id)
 	}
 	ev := Event{Seq: len(j.events) + 1, Time: time.Now().UTC(), From: j.state, To: to, Reason: reason}
-	if err := appendLine(filepath.Join(s.jobDir(id), "log.ndjson"), ev); err != nil {
+	if err := appendLines(filepath.Join(s.jobDir(id), "log.ndjson"), ev); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	j.events = append(j.events, ev)
@@ -326,29 +333,55 @@ func (s *Store) Transition(id string, to State, reason string) (Job, error) {
 // RecordRun durably marks one sweep-run index completed. Re-recording
 // an index (a resume discovering a cached result) is idempotent.
 func (s *Store) RecordRun(id string, index int, key string) error {
+	return s.RecordRuns(id, []RunRecord{{Index: index, Key: key}})
+}
+
+// RecordRuns durably marks a batch of sweep-run indices completed with
+// one append and one fsync. Indices already recorded, or repeated in
+// the batch, are skipped, so each index is recorded at most once.
+func (s *Store) RecordRuns(id string, recs []RunRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return fmt.Errorf("jobstore: unknown job %q", id)
 	}
-	if _, dup := j.runs[index]; dup {
+	fresh := make([]RunRecord, 0, len(recs))
+	seen := make(map[int]bool, len(recs))
+	for _, rr := range recs {
+		if _, dup := j.runs[rr.Index]; !dup && !seen[rr.Index] {
+			seen[rr.Index] = true
+			fresh = append(fresh, rr)
+		}
+	}
+	if len(fresh) == 0 {
 		return nil
 	}
-	rr := RunRecord{Index: index, Key: key}
-	if err := appendLine(filepath.Join(s.jobDir(id), "runs.ndjson"), rr); err != nil {
+	if err := appendLines(filepath.Join(s.jobDir(id), "runs.ndjson"), fresh...); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	j.runs[index] = key
+	for _, rr := range fresh {
+		j.runs[rr.Index] = rr.Key
+	}
 	return nil
 }
 
-// SetResult writes the job's merged result document atomically
-// (temp file + rename), so readers never observe a partial report.
+// SetResult writes the job's merged result document atomically; it is
+// WriteResult with the document already in memory.
 func (s *Store) SetResult(id string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[id]; !ok {
+	return s.WriteResult(id, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteResult streams the job's merged result document from write
+// through a buffered temp file, then fsyncs it, renames it into place
+// and fsyncs the job directory, so readers never observe a partial
+// report and a job recorded done after it never lacks one. The store
+// lock is not held while write runs.
+func (s *Store) WriteResult(id string, write func(io.Writer) error) error {
+	if !s.known(id) {
 		return fmt.Errorf("jobstore: unknown job %q", id)
 	}
 	dir := s.jobDir(id)
@@ -356,38 +389,66 @@ func (s *Store) SetResult(id string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	bw := bufio.NewWriterSize(tmp, 1<<20)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, "result.json"))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, "result.json")); err != nil {
-		os.Remove(tmp.Name())
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil
 }
 
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// known reports whether the store holds job id.
+func (s *Store) known(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.jobs[id]
+	return ok
+}
+
+// OpenResult opens the job's merged result document for reading, or
+// fails with os.ErrNotExist while the job has none.
+func (s *Store) OpenResult(id string) (*os.File, error) {
+	if !s.known(id) {
+		return nil, fmt.Errorf("jobstore: unknown job %q", id)
+	}
+	return os.Open(filepath.Join(s.jobDir(id), "result.json"))
+}
+
 // Result returns the job's merged result document, or os.ErrNotExist
 // while the job has none.
 func (s *Store) Result(id string) ([]byte, error) {
-	s.mu.Lock()
-	dir := s.jobDir(id)
-	_, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("jobstore: unknown job %q", id)
+	f, err := s.OpenResult(id)
+	if err != nil {
+		return nil, err
 	}
-	return os.ReadFile(filepath.Join(dir, "result.json"))
+	defer f.Close()
+	return io.ReadAll(f)
 }
 
 // Get returns a copy of one job's state.

@@ -2,7 +2,9 @@ package jobstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -405,5 +407,141 @@ func TestIDsSurviveReopen(t *testing.T) {
 			ids[i] = j.ID
 		}
 		t.Errorf("List order %v", ids)
+	}
+}
+
+// TestRecordRunsTornBatchTruncated cuts a multi-record append inside
+// its second record: reopening keeps the whole first record, truncates
+// the rest, and a later batch appends cleanly after it.
+func TestRecordRunsTornBatchTruncated(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Create(json.RawMessage(`{"runs":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []RunRecord{{0, "k0"}, {1, "k1"}, {2, "k2"}}
+	if err := s.RecordRuns(j.ID, batch); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "jobs", j.ID, "runs.ndjson")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if len(lines) != 4 || lines[3] != "" {
+		t.Fatalf("batch wrote %q, want 3 newline-terminated records", raw)
+	}
+	first := len(lines[0])
+	if err := os.Truncate(path, int64(first+len(lines[1])/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s2.Get(j.ID)
+	if want := []int{0}; !reflect.DeepEqual(got.CompletedIndices(), want) {
+		t.Errorf("after torn batch: runs %v, want %v", got.CompletedIndices(), want)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(first) {
+		t.Errorf("torn tail not truncated to the record boundary (%v, %v)", fi, err)
+	}
+	// The resume re-promotes the whole batch; index 0 is not repeated.
+	if err := s2.RecordRuns(j.ID, batch); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ = s3.Get(j.ID)
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(got.CompletedIndices(), want) {
+		t.Errorf("after re-promotion: runs %v, want %v", got.CompletedIndices(), want)
+	}
+	if raw, _ := os.ReadFile(path); strings.Count(string(raw), "\n") != 3 {
+		t.Errorf("checkpoint log %q, want each index once", raw)
+	}
+}
+
+// TestRecordRunsSkipsDuplicates: indices already recorded, or repeated
+// within one batch, are written once.
+func TestRecordRunsSkipsDuplicates(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Create(json.RawMessage(`{"runs":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordRun(j.ID, 1, "k1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordRuns(j.ID, []RunRecord{{1, "k1"}, {2, "k2"}, {2, "k2"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordRuns(j.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "jobs", j.ID, "runs.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\"index\":1,\"key\":\"k1\"}\n{\"index\":2,\"key\":\"k2\"}\n"; string(raw) != want {
+		t.Errorf("checkpoint log %q, want %q", raw, want)
+	}
+}
+
+// TestWriteResultStreamsAtomically: a streamed document lands whole; a
+// writer that fails leaves the previous document and no temp file.
+func TestWriteResultStreamsAtomically(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Create(json.RawMessage(`{"runs":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenResult(j.ID); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("OpenResult before any write: %v, want ErrNotExist", err)
+	}
+	big := strings.Repeat("x", 3<<20)
+	err = s.WriteResult(j.ID, func(w io.Writer) error {
+		for _, part := range []string{`{"a":"`, big, `"}`} {
+			if _, err := io.WriteString(w, part); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"a":"` + big + `"}`
+	boom := errors.New("boom")
+	err = s.WriteResult(j.ID, func(w io.Writer) error {
+		_, _ = io.WriteString(w, "partial") // the failure under test is boom
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("failed write returned %v, want it wrapped", err)
+	}
+	if got, err := s.Result(j.ID); err != nil || string(got) != want {
+		t.Errorf("result after a failed rewrite: %d bytes (%v), want the earlier %d", len(got), err, len(want))
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "jobs", j.ID, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+	if err := s.WriteResult("j999999", func(io.Writer) error { return nil }); err == nil {
+		t.Error("WriteResult accepted an unknown job")
 	}
 }

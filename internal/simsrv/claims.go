@@ -152,11 +152,12 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePublishRun accepts one run's result bytes from the claim
-// holder. The durability order is the same as the local path: cache
-// bytes first, checkpoint record second, ledger completion last — a
-// crash or lost lease between any two steps heals on the next claim via
-// the cache probe, and the checkpoint log records each index at most
-// once. A zombie claim is fenced with 410 before anything is written.
+// holder, in canonical form; a body that is not JSON gets 400. The
+// durability order is the same as the local path: cache bytes first,
+// checkpoint record second, ledger completion last — a crash or lost
+// lease between any two steps heals on the next claim via the cache
+// probe, and the checkpoint log records each index at most once. A
+// zombie claim is fenced with 410 before anything is written.
 func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.URL.Query().Get("claim")
 	index, err := strconv.Atoi(r.PathValue("index"))
@@ -184,6 +185,19 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(data) == 0 || len(data) > maxResultBytes {
 		writeError(w, http.StatusBadRequest, "result document empty or over %d bytes", maxResultBytes)
+		return
+	}
+	// Stored entries are canonical so the merge can splice them
+	// verbatim; this is also where a non-JSON result is refused.
+	data, err = canonicalResult(data)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "result is not valid JSON: %v", err)
+		return
+	}
+	d.pub.RLock()
+	defer d.pub.RUnlock()
+	if d.closed {
+		s.noCoordinator(w, id)
 		return
 	}
 	if err := s.cache.Put(d.keys[index], data); err != nil {

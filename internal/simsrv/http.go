@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/jobstore"
@@ -202,7 +204,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s, not done", id, j.State)
 		return
 	}
-	data, err := s.store.Result(id)
+	f, err := s.store.OpenResult(id)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			writeError(w, http.StatusNotFound, "job %s has no result document", id)
@@ -211,9 +213,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	// Copying from the file lets the server hand it to the kernel
+	// (sendfile) instead of reading the report into memory.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	_, _ = io.Copy(w, f)
 }
 
 // handleEvents streams the job's lifecycle as NDJSON: first the durable

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 	"time"
@@ -83,20 +84,25 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 
 	// Resume point: indices recorded in the job's checkpoint log plus
 	// indices whose results another job already cached. Cache hits are
-	// promoted into the checkpoint log so the job's own record is
-	// complete.
+	// promoted into the checkpoint log, all in one append, so the job's
+	// own record is complete. The probe reads and verifies each entry: a
+	// corrupt one, or one written before entries carried a digest, is a
+	// miss and its run is recomputed.
 	skip := make([]int, 0, n)
+	var hits []jobstore.RunRecord
+	var scratch []byte
 	for i := 0; i < n; i++ {
 		if _, done := j.Runs[i]; done {
 			skip = append(skip, i)
 			continue
 		}
-		if _, hit := s.cache.Get(keys[i]); hit {
-			if err := s.store.RecordRun(id, i, keys[i]); err != nil {
-				return err
-			}
+		if _, hit := s.cache.get(keys[i], &scratch); hit {
+			hits = append(hits, jobstore.RunRecord{Index: i, Key: keys[i]})
 			skip = append(skip, i)
 		}
+	}
+	if err := s.store.RecordRuns(id, hits); err != nil {
+		return err
 	}
 	if len(skip) > 0 {
 		s.logf("%s: resuming with %d/%d runs already complete", id, len(skip), n)
@@ -176,6 +182,9 @@ func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob
 		s.cmu.Lock()
 		delete(s.coords, id)
 		s.cmu.Unlock()
+		d.pub.Lock()
+		d.closed = true
+		d.pub.Unlock()
 	}()
 	s.logf("%s: accepting claims (%d/%d runs already complete, lease %s)", id, len(skip), sp.Runs, s.lease)
 	// A fully-recovered sweep may be done (or fatal) already; prefer
@@ -195,51 +204,30 @@ func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob
 	}
 }
 
-// Report is the merged result document of one job. It carries no
-// job-local identity (no ID, no timestamps): the same spec merged from
-// the same per-run results is byte-identical whether the sweep ran
-// uninterrupted or resumed across any number of restarts.
-type Report struct {
-	SpecHash      string          `json:"spec_hash"`
-	EngineVersion string          `json:"engine_version"`
-	Spec          json.RawMessage `json:"spec"`
-	Runs          []ReportRun     `json:"runs"`
-}
-
-// ReportRun is one run's slot in the merged report.
-type ReportRun struct {
-	Index  int             `json:"index"`
-	Seed   uint64          `json:"seed"`
-	Result json.RawMessage `json:"result"`
-}
-
-// merge assembles the job's report purely from the content-addressed
-// cache — never from in-memory outcomes — so resumed and uninterrupted
-// sweeps serialize from the same source bytes.
+// merge streams the job's report into the store purely from the
+// content-addressed cache — never from in-memory outcomes — so resumed
+// and uninterrupted sweeps serialize from the same source bytes. Each
+// entry is verified against its digest and spliced in verbatim.
 func (s *Server) merge(id string, sp JobSpec, keys []string) error {
 	j, _ := s.store.Get(id)
 	h, err := sp.SpecHash()
 	if err != nil {
 		return err
 	}
-	rep := Report{
-		SpecHash:      h,
-		EngineVersion: sim.Version,
-		Spec:          j.Spec,
-		Runs:          make([]ReportRun, len(keys)),
-	}
-	for i, key := range keys {
-		data, ok := s.cache.Get(key)
-		if !ok {
-			return fmt.Errorf("run %d: result missing from cache (key %s)", i, key)
-		}
-		rep.Runs[i] = ReportRun{Index: i, Seed: sp.RunSeed(i), Result: data}
-	}
-	out, err := json.Marshal(rep)
+	head, err := reportHead(h, j.Spec)
 	if err != nil {
 		return err
 	}
-	return s.store.SetResult(id, out)
+	var scratch []byte
+	return s.store.WriteResult(id, func(w io.Writer) error {
+		return writeReport(w, head, len(keys), sp.RunSeed, func(i int) ([]byte, error) {
+			data, ok := s.cache.get(keys[i], &scratch)
+			if !ok {
+				return nil, fmt.Errorf("run %d: result missing from cache (key %s)", i, keys[i])
+			}
+			return data, nil
+		})
+	})
 }
 
 // runPersister is the sweep observer that makes runs durable: the

@@ -77,6 +77,14 @@ type distJob struct {
 	raw    json.RawMessage // normalized spec bytes, as stored
 	keys   []string        // per-index content-address keys
 	a      *activeJob
+
+	// pub orders publishes against the job leaving this coordinator: a
+	// publish holds it shared while it writes the cache and checkpoint,
+	// and the job's unregistration takes it exclusively to set closed.
+	// So once a drain returns, no late publish writes to a store that a
+	// successor process may already have replayed.
+	pub    sync.RWMutex
+	closed bool
 }
 
 // activeJob is the in-memory side of one running (or watched) job:

@@ -104,6 +104,9 @@ func getResult(t *testing.T, ts *httptest.Server, id string) []byte {
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
+	if resp.ContentLength != int64(buf.Len()) {
+		t.Errorf("result: Content-Length %d for a %d-byte body", resp.ContentLength, buf.Len())
+	}
 	return buf.Bytes()
 }
 
