@@ -10,8 +10,8 @@
 // hosts) or less instead of a linear scan, while choosing exactly the
 // host the scan would have chosen. The package also provides the
 // simulator's PendingQueue (queue.go), demand-indexed for O(log queue)
-// first-fit pops, and retains the pre-index reference implementations
-// (naive.go) as differential-test oracles.
+// first-fit pops; its tests keep the pre-index reference
+// implementations (naive_test.go) as differential-test oracles.
 package cluster
 
 import (

@@ -188,19 +188,14 @@ func (w *Worker) executeClaim(ctx context.Context, cl *ClaimResponse) error {
 	if cl.RunsTotal != 0 && cl.RunsTotal != n {
 		return fmt.Errorf("claim %s: runs_total %d disagrees with spec runs %d", cl.ClaimID, cl.RunsTotal, n)
 	}
-	runs := make([]sim.Run, n)
-	for i := range runs {
-		if n == 1 {
-			// Mirror the service's local path: a 1-run job executes
-			// under exactly the base seed.
-			runs[i] = sim.Pin(simu, sp.Seed)
-		} else {
-			runs[i] = sim.Run{Sim: simu}
-		}
+	if cl.Start < 0 || cl.End > n || cl.Start > cl.End {
+		return fmt.Errorf("claim %s: range [%d,%d) outside the sweep's %d runs", cl.ClaimID, cl.Start, cl.End, n)
 	}
-	only := make([]int, 0, cl.End-cl.Start)
-	for i := cl.Start; i < cl.End; i++ {
-		only = append(only, i)
+	// The claim runs as a sweep of its own range: run k is index
+	// Start+k under that index's seed, and the publisher maps it back.
+	runs := make([]sim.Run, cl.End-cl.Start)
+	for k := range runs {
+		runs[k] = sim.Pin(simu, sp.RunSeed(cl.Start+k))
 	}
 	w.logf("claim %s: job %s indices [%d,%d)", cl.ClaimID, cl.Job, cl.Start, cl.End)
 
@@ -235,10 +230,8 @@ func (w *Worker) executeClaim(ctx context.Context, cl *ClaimResponse) error {
 
 	pub := &publisher{w: w, cl: cl, cancel: cancel}
 	_, sweepErr := sim.RunSweep(claimCtx, runs, sim.SweepOptions{
-		BaseSeed:    sp.Seed,
-		Workers:     w.sweepWorkers(),
-		OnlyIndices: only,
-		Observer:    pub,
+		Workers:  w.sweepWorkers(),
+		Observer: pub,
 	})
 	cancel()
 	hb.Wait()
@@ -358,15 +351,13 @@ func (p *publisher) RunStarted(sim.RunInfo)                {}
 func (p *publisher) RunProgress(sim.RunInfo, sim.Progress) {}
 
 func (p *publisher) RunFinished(info sim.RunInfo, out sim.Outcome) {
-	if out.Skipped {
-		return
-	}
+	index := p.cl.Start + info.Index
 	if out.Err != nil {
 		// A run the engine itself failed is reported so the coordinator
 		// charges the index's attempt budget immediately; a run canceled
 		// by our own shutdown or a lost lease is not the index's fault.
 		if !errors.Is(out.Err, context.Canceled) {
-			p.w.reportFailure(context.Background(), p.cl, info.Index, out.Err.Error())
+			p.w.reportFailure(context.Background(), p.cl, index, out.Err.Error())
 		}
 		return
 	}
@@ -374,14 +365,14 @@ func (p *publisher) RunFinished(info sim.RunInfo, out sim.Outcome) {
 		return
 	}
 	if hook := p.w.BeforePublish; hook != nil {
-		if err := hook(p.cl.Job, info.Index); err != nil {
+		if err := hook(p.cl.Job, index); err != nil {
 			p.fail(err, true)
 			return
 		}
 	}
 	data, err := json.Marshal(out.Result)
 	if err == nil {
-		err = p.w.publishRun(context.Background(), p.cl, info.Index, data)
+		err = p.w.publishRun(context.Background(), p.cl, index, data)
 	}
 	if err != nil {
 		p.w.logf("claim %s: %v", p.cl.ClaimID, err)

@@ -23,7 +23,6 @@ package jobstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,6 +34,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // State is a job lifecycle state.
@@ -182,7 +183,7 @@ func (s *Store) replay(id string) (*job, error) {
 		return nil, err
 	}
 	j := &job{id: id, spec: spec, runs: make(map[int]string)}
-	err = readNDJSON(filepath.Join(dir, "log.ndjson"), func(line []byte) error {
+	err = durable.Replay(filepath.Join(dir, "log.ndjson"), func(line []byte) error {
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return err
@@ -204,7 +205,7 @@ func (s *Store) replay(id string) (*job, error) {
 	if len(j.events) == 0 {
 		return nil, errors.New("empty transition log")
 	}
-	err = readNDJSON(filepath.Join(dir, "runs.ndjson"), func(line []byte) error {
+	err = durable.Replay(filepath.Join(dir, "runs.ndjson"), func(line []byte) error {
 		var rr RunRecord
 		if err := json.Unmarshal(line, &rr); err != nil {
 			return err
@@ -218,73 +219,6 @@ func (s *Store) replay(id string) (*job, error) {
 	return j, nil
 }
 
-// readNDJSON feeds each complete line of an append-only NDJSON file to
-// fn. A record is durable only once its trailing newline is on disk: a
-// final line that is missing its newline or fails to parse is a torn
-// write — it is dropped AND truncated from the file, so the next append
-// starts on a clean line boundary instead of fusing with the partial
-// record (which would read as mid-file corruption one restart later). A
-// malformed line with durable successors is real corruption and aborts
-// the replay. A missing file yields os.ErrNotExist.
-func readNDJSON(path string, fn func(line []byte) error) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	good := 0 // byte offset just past the last durable line
-	var pendingErr error
-	for pos := 0; pos < len(raw); {
-		nl := bytes.IndexByte(raw[pos:], '\n')
-		if nl < 0 {
-			break // newline-less tail: torn by definition
-		}
-		line := raw[pos : pos+nl]
-		pos += nl + 1
-		if len(strings.TrimSpace(string(line))) == 0 {
-			good = pos
-			continue
-		}
-		if pendingErr != nil {
-			return pendingErr // a malformed line had successors: corruption
-		}
-		if err := fn(line); err != nil {
-			pendingErr = err // torn write if this turns out to be the tail
-			continue
-		}
-		good = pos
-	}
-	if good < len(raw) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return fmt.Errorf("truncating torn tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// appendLines durably appends one JSON document plus newline per
-// record, in one write flushed with fsync before returning, so an
-// acknowledged record survives a crash. A crash mid-write leaves a torn
-// tail that readNDJSON drops.
-func appendLines[T any](path string, recs ...T) error {
-	var buf []byte
-	for _, r := range recs {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		buf = append(append(buf, raw...), '\n')
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write(buf); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // Create allocates a job, durably writes its spec, and records the
 // creation transition into Queued.
 func (s *Store) Create(spec json.RawMessage) (Job, error) {
@@ -295,11 +229,15 @@ func (s *Store) Create(spec json.RawMessage) (Job, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "spec.json"), spec, 0o644); err != nil {
+	err := durable.WriteFile(filepath.Join(dir, "spec.json"), func(w io.Writer) error {
+		_, err := w.Write(spec)
+		return err
+	})
+	if err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	ev := Event{Seq: 1, Time: time.Now().UTC(), To: Queued, Reason: "submitted"}
-	if err := appendLines(filepath.Join(dir, "log.ndjson"), ev); err != nil {
+	if err := durable.AppendFile(filepath.Join(dir, "log.ndjson"), ev); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	s.nextID++
@@ -322,7 +260,7 @@ func (s *Store) Transition(id string, to State, reason string) (Job, error) {
 		return Job{}, fmt.Errorf("jobstore: illegal transition %q→%q for %s", j.state, to, id)
 	}
 	ev := Event{Seq: len(j.events) + 1, Time: time.Now().UTC(), From: j.state, To: to, Reason: reason}
-	if err := appendLines(filepath.Join(s.jobDir(id), "log.ndjson"), ev); err != nil {
+	if err := durable.AppendFile(filepath.Join(s.jobDir(id), "log.ndjson"), ev); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	j.events = append(j.events, ev)
@@ -357,7 +295,7 @@ func (s *Store) RecordRuns(id string, recs []RunRecord) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	if err := appendLines(filepath.Join(s.jobDir(id), "runs.ndjson"), fresh...); err != nil {
+	if err := durable.AppendFile(filepath.Join(s.jobDir(id), "runs.ndjson"), fresh...); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	for _, rr := range fresh {
@@ -376,51 +314,24 @@ func (s *Store) SetResult(id string, data []byte) error {
 }
 
 // WriteResult streams the job's merged result document from write
-// through a buffered temp file, then fsyncs it, renames it into place
-// and fsyncs the job directory, so readers never observe a partial
-// report and a job recorded done after it never lacks one. The store
-// lock is not held while write runs.
+// through a 1 MiB buffer into result.json with durable.WriteFile, so
+// readers never observe a partial report and a job recorded done after
+// it never lacks one. The store lock is not held while write runs.
 func (s *Store) WriteResult(id string, write func(io.Writer) error) error {
 	if !s.known(id) {
 		return fmt.Errorf("jobstore: unknown job %q", id)
 	}
-	dir := s.jobDir(id)
-	tmp, err := os.CreateTemp(dir, "result-*.tmp")
+	err := durable.WriteFile(filepath.Join(s.jobDir(id), "result.json"), func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 1<<20)
+		if err := write(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	err = write(bw)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(dir, "result.json"))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory, making the renames inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // known reports whether the store holds job id.

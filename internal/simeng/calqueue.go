@@ -13,7 +13,7 @@ import (
 // bucket by the engine's total order (at, priority, seq) only when the
 // drain cursor reaches it, so push and pop are O(1) amortized — the
 // per-event share of one pdqsort — instead of the O(log n)
-// pointer-chasing sift of the binary heap this replaced (see naive.go,
+// pointer-chasing sift of the binary heap this replaced (see naive_test.go,
 // retained as the differential-test oracle).
 //
 // Three auxiliary stores keep the bucket invariant airtight:

@@ -19,7 +19,7 @@ func popLiveNaive(q *naiveQueue, canceled map[int]bool) (naiveItem, bool) {
 
 // TestDifferentialVsNaiveHeap drives randomized schedule/cancel/pop
 // sequences through the calendar queue and the retained binary heap
-// (naive.go) in lockstep and asserts bit-identical pop order — the same
+// (naive_test.go) in lockstep and asserts bit-identical pop order — the same
 // ids in the same sequence, including (at, priority, seq) tie-breaks
 // and pops that follow cancellations. The schedule mix deliberately
 // lands events at the exact current timestamp (spill heap), at repeated

@@ -79,7 +79,7 @@ const eventBlock = 64
 // of time buckets sorted on demand, with a spill heap for events landing
 // behind the drain cursor and an overflow rung for events beyond the
 // bucket window. Events fire in strict (at, priority, seq) order —
-// identical to the binary heap this replaced (naive.go keeps that heap
+// identical to the binary heap this replaced (naive_test.go keeps that heap
 // as the differential-test oracle).
 type Simulator struct {
 	now   Time

@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+
+	"repro/internal/durable"
 )
 
 // Cache is a content-addressed result store: immutable JSON documents
-// filed under their RunKey. Writes are atomic (temp file + rename) and
-// idempotent — two workers caching the same key race harmlessly because
-// the content is identical by construction.
+// filed under their RunKey. Writes are atomic and durable
+// (durable.WriteFile) and idempotent — two workers caching the same key
+// race harmlessly because the content is identical by construction.
 //
 // An entry file is the line "sha256:<hex digest of the payload>\n"
 // followed by the payload. Reads verify the digest, so an entry that
@@ -86,31 +88,20 @@ func (c *Cache) get(key string, scratch *[]byte) ([]byte, bool) {
 	return payload, true
 }
 
-// Put files data under key, durably and atomically.
+// Put files data under key, durably and atomically (durable.WriteFile).
 func (c *Cache) Put(key string, data []byte) error {
 	path := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("simsrv: cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write(entryHeader(data)); err != nil {
+			return err
+		}
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("simsrv: cache: %w", err)
-	}
-	_, err = tmp.Write(entryHeader(data))
-	if err == nil {
-		_, err = tmp.Write(data)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("simsrv: cache: %w", err)
 	}
 	return nil

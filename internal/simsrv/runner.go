@@ -115,19 +115,12 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 	if len(skip) < n {
 		runs := make([]sim.Run, n)
 		for i := range runs {
-			if n == 1 {
-				// A 1-run job executes under exactly the base seed, so
-				// its result matches a direct Simulation.Run of the spec.
-				runs[i] = sim.Pin(simu, sp.Seed)
-			} else {
-				runs[i] = sim.Run{Sim: simu}
-			}
+			runs[i] = sim.Pin(simu, sp.RunSeed(i))
 		}
 		p := &runPersister{srv: s, job: id, a: a, keys: keys, total: n, lastEvents: make([]uint64, n), putErr: make([]error, n)}
 		p.done = len(skip) // resumed runs count toward runs_completed
 
 		_, err := sim.RunSweep(ctx, runs, sim.SweepOptions{
-			BaseSeed:    sp.Seed,
 			Workers:     s.sweepWorkers,
 			SkipIndices: skip,
 			Observer:    p,

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -95,6 +96,67 @@ func TestMapContextSerialHonorsCancellation(t *testing.T) {
 		}
 		if r != want {
 			t.Errorf("results[%d] = %d, want %d", i, r, want)
+		}
+	}
+}
+
+// TestMapChunkedIdenticalAcrossChunkAndWorkers is the batching
+// contract: chunk size and worker count change scheduling, never
+// outputs, and the shared cursor hands every index to exactly one
+// worker.
+func TestMapChunkedIdenticalAcrossChunkAndWorkers(t *testing.T) {
+	const n = 101
+	fn := func(i int) (int, error) { return i*i + 3, nil }
+	want, err := Map(n, 1, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		for _, chunk := range []int{0, 1, 5, 7, 64, 1000} {
+			var calls [n]atomic.Int32
+			got, err := MapChunkedContext(context.Background(), n, workers, chunk, func(i int) (int, error) {
+				calls[i].Add(1)
+				return fn(i)
+			})
+			if err != nil {
+				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d chunk=%d diverged from serial output", workers, chunk)
+			}
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Fatalf("workers=%d chunk=%d: index %d ran %d times, want exactly once", workers, chunk, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestCounterClaimerDisjointCover hammers the shared claim cursor from
+// many goroutines with a chunk that does not divide n: the ranges it
+// hands out must be disjoint, in-bounds, and cover [0, n) exactly.
+func TestCounterClaimerDisjointCover(t *testing.T) {
+	const n, chunk, workers = 1000, 7, 8
+	var owner [n]atomic.Int32
+	var outOfBounds atomic.Int32
+	_, err := MapChunkedContext(context.Background(), n, workers, chunk, func(i int) (struct{}, error) {
+		if i < 0 || i >= n {
+			outOfBounds.Add(1)
+			return struct{}{}, nil
+		}
+		owner[i].Add(1)
+		return struct{}{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := outOfBounds.Load(); c != 0 {
+		t.Fatalf("%d claims landed out of bounds", c)
+	}
+	for i := range owner {
+		if c := owner[i].Load(); c != 1 {
+			t.Fatalf("index %d claimed %d times, want exactly once", i, c)
 		}
 	}
 }

@@ -68,9 +68,10 @@ func AutoChunk(n, workers int) int {
 }
 
 // MapChunkedContext is MapContext with an explicit chunk size: workers
-// claim `chunk` consecutive indices per visit to the shared counter
-// (chunk <= 0 selects AutoChunk). Cancellation remains per-index: a
-// worker mid-chunk records ctx.Err() for the chunk's remaining indices
+// claim `chunk` consecutive indices per visit to a shared atomic cursor
+// (chunk <= 0 selects AutoChunk), so every index is claimed exactly
+// once. Cancellation remains per-index: once ctx is done, workers keep
+// draining the cursor and record ctx.Err() for every remaining index
 // without calling fn.
 func MapChunkedContext[T any](ctx context.Context, n, workers, chunk int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
@@ -83,70 +84,17 @@ func MapChunkedContext[T any](ctx context.Context, n, workers, chunk int, fn fun
 	if chunk <= 0 {
 		chunk = AutoChunk(n, w)
 	}
-	return MapClaimedContext(ctx, n, w, &counterClaimer{n: n, chunk: chunk}, fn)
-}
-
-// A Claimer hands out half-open index ranges [start, end) to sweep
-// workers. Next is called concurrently from worker goroutines and must
-// be safe for concurrent use; it returns ok == false when no further
-// range will ever be available to this worker (the sweep's index space
-// is exhausted). Ranges must be disjoint: every index is handed out at
-// most once.
-//
-// The local implementation is an atomic counter cut into chunks (see
-// MapChunkedContext); internal/coord generalizes the same protocol to
-// leased remote claims over HTTP, where a crashed worker's range is
-// re-issued after its lease expires.
-type Claimer interface {
-	Next() (start, end int, ok bool)
-}
-
-// counterClaimer is the in-process Claimer: an atomic cursor over
-// [0, n) advanced chunk indices at a time.
-type counterClaimer struct {
-	next  atomic.Int64
-	n     int
-	chunk int
-}
-
-func (c *counterClaimer) Next() (int, int, bool) {
-	end := int(c.next.Add(int64(c.chunk)))
-	start := end - c.chunk
-	if start >= c.n {
-		return 0, 0, false
-	}
-	if end > c.n {
-		end = c.n
-	}
-	return start, end, true
-}
-
-// MapClaimedContext runs fn over the index ranges a Claimer hands out,
-// across a pool of `workers` goroutines, writing results into
-// index-addressed slots of an n-sized slice. Indices the claimer never
-// issues stay zero-valued with a nil error — the claimer owns coverage.
-// Cancellation is per-index: workers keep draining the claimer after
-// ctx is done (so a local counter claimer records ctx.Err() on every
-// remaining index, exactly as MapContext documents), but fn is never
-// called for them. A claimer backed by a remote lease should observe
-// ctx itself and report exhaustion instead of issuing further ranges.
-func MapClaimedContext[T any](ctx context.Context, n, workers int, claim Claimer, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
+	var next atomic.Int64
 	body := func() {
 		for {
-			start, end, ok := claim.Next()
-			if !ok {
+			end := int(next.Add(int64(chunk)))
+			start := end - chunk
+			if start >= n {
 				return
 			}
-			for i := start; i < end; i++ {
+			for i := start; i < min(end, n); i++ {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue

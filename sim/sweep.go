@@ -140,10 +140,11 @@ type SweepOptions struct {
 	// reproduces the uninterrupted results bit-for-bit.
 	SkipIndices []int
 	// OnlyIndices restricts the sweep to exactly the listed run
-	// indices, skipping every other slot — the remote-claim hook: a
-	// worker that has leased an index range executes just those indices
-	// while seeds, traces, and results stay addressed by position in
-	// the full sweep. Mutually exclusive with SkipIndices.
+	// indices, skipping every other slot, while seeds, traces, and
+	// results stay addressed by position in the full sweep. It costs
+	// the full sweep's length; to run a few indices of a large sweep,
+	// pin each index's seed (JobSpec.RunSeed) in a sweep of its own.
+	// Mutually exclusive with SkipIndices.
 	OnlyIndices []int
 	// Completed, when non-nil, is called with a run's index after that
 	// run finishes without error and RunFinished has been delivered.
